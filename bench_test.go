@@ -5,6 +5,7 @@
 package dnebench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -22,6 +23,16 @@ import (
 func benchOpts(b *testing.B) experiments.Options {
 	b.Helper()
 	return experiments.Options{Shift: -2, Seed: 1, PRIters: 5, Quick: true, Out: io.Discard}
+}
+
+// partitionDNE runs Distributed NE through its v2 partitioner.
+func partitionDNE(b *testing.B, g *graph.Graph, spec partition.Spec) *partition.Result {
+	b.Helper()
+	res, err := dne.Partitioner{}.Partition(context.Background(), g, spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
 }
 
 func runExperiment(b *testing.B, fn func(experiments.Options) error) {
@@ -75,22 +86,16 @@ func BenchmarkTable6Roads(b *testing.B) { runExperiment(b, experiments.Table6) }
 // BenchmarkDNEPartition1M is the tracked perf benchmark behind
 // BENCH_dne.json: Distributed NE on the seeded ~1M-edge RMAT (scale 16,
 // edge factor 16) with 16 machines. The graph build is excluded; the
-// measured region is exactly the partitioning. RF is reported so quality
-// regressions show up next to wall-time ones.
+// measured region is the partitioning and its quality measurement. RF is
+// reported so quality regressions show up next to wall-time ones.
 func BenchmarkDNEPartition1M(b *testing.B) {
 	g := gen.RMAT(16, 16, 42)
-	cfg := dne.DefaultConfig()
-	cfg.Seed = 42
+	spec := partition.NewSpec(16, 42)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := dne.Partition(g, 16, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		b.ReportMetric(res.Partitioning.Measure(g).ReplicationFactor, "RF")
-		b.StartTimer()
+		res := partitionDNE(b, g, spec)
+		b.ReportMetric(res.Quality.ReplicationFactor, "RF")
 	}
 }
 
@@ -108,24 +113,17 @@ func BenchmarkAblationLambda(b *testing.B) {
 		single bool
 	}{{"single", true}, {"lambda0.1", false}} {
 		b.Run(mode.name, func(b *testing.B) {
-			cfg := dne.DefaultConfig()
-			cfg.SingleExpansion = mode.single
+			spec := partition.NewSpec(8, 0).WithParam("single_expansion", mode.single)
+			gg := g
 			if mode.single {
 				// Single expansion on a 2M-edge graph takes ~|E|/P steps;
 				// use a smaller instance to keep the bench honest but fast.
-				cfg.MaxIterations = 1 << 22
-			}
-			gg := g
-			if mode.single {
 				gg = gen.RMAT(10, 8, 9)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := dne.Partition(gg, 8, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.Iterations), "iterations")
+				res := partitionDNE(b, gg, spec)
+				b.ReportMetric(float64(res.Stats.Iterations), "iterations")
 			}
 		})
 	}
@@ -137,13 +135,9 @@ func BenchmarkAblationPartitionCount(b *testing.B) {
 	g := ablationGraph()
 	for _, p := range []int{4, 16, 64} {
 		b.Run(benchName("P", p), func(b *testing.B) {
-			cfg := dne.DefaultConfig()
 			for i := 0; i < b.N; i++ {
-				res, err := dne.Partition(g, p, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.CommBytes)/(1<<20), "comm-MB")
+				res := partitionDNE(b, g, partition.NewSpec(p, 0))
+				b.ReportMetric(float64(res.Stats.CommBytes)/(1<<20), "comm-MB")
 			}
 		})
 	}
@@ -155,16 +149,11 @@ func BenchmarkAblationAlpha(b *testing.B) {
 	g := ablationGraph()
 	for _, alpha := range []float64{1.01, 1.1, 1.5} {
 		b.Run(benchName("alpha", int(alpha*100)), func(b *testing.B) {
-			cfg := dne.DefaultConfig()
-			cfg.Alpha = alpha
+			spec := partition.NewSpec(16, 0).WithParam("alpha", alpha)
 			for i := 0; i < b.N; i++ {
-				res, err := dne.Partition(g, 16, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				q := res.Partitioning.Measure(g)
-				b.ReportMetric(q.ReplicationFactor, "RF")
-				b.ReportMetric(q.EdgeBalance, "EB")
+				res := partitionDNE(b, g, spec)
+				b.ReportMetric(res.Quality.ReplicationFactor, "RF")
+				b.ReportMetric(res.Quality.EdgeBalance, "EB")
 			}
 		})
 	}
@@ -177,14 +166,10 @@ func BenchmarkAblationConflictRate(b *testing.B) {
 	g := ablationGraph()
 	for _, p := range []int{4, 16, 64} {
 		b.Run(benchName("P", p), func(b *testing.B) {
-			cfg := dne.DefaultConfig()
-			cfg.ParallelAllocation = true
+			spec := partition.NewSpec(p, 0).WithParam("parallel_allocation", true)
 			for i := 0; i < b.N; i++ {
-				res, err := dne.Partition(g, p, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.CASConflicts), "conflicts")
+				res := partitionDNE(b, g, spec)
+				b.ReportMetric(res.Stats.Extra["cas_conflicts"], "conflicts")
 			}
 		})
 	}
@@ -200,15 +185,11 @@ func BenchmarkAblationMulticastFanout(b *testing.B) {
 		broadcast bool
 	}{{"grid", false}, {"broadcast", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			cfg := dne.DefaultConfig()
-			cfg.BroadcastReplicas = mode.broadcast
+			spec := partition.NewSpec(16, 0).WithParam("broadcast_replicas", mode.broadcast)
 			for i := 0; i < b.N; i++ {
-				res, err := dne.Partition(g, 16, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.CommBytes)/(1<<20), "comm-MB")
-				b.ReportMetric(float64(res.CommMessages), "msgs")
+				res := partitionDNE(b, g, spec)
+				b.ReportMetric(float64(res.Stats.CommBytes)/(1<<20), "comm-MB")
+				b.ReportMetric(float64(res.Stats.CommMessages), "msgs")
 			}
 		})
 	}
@@ -222,14 +203,10 @@ func BenchmarkAblationDrestStaleness(b *testing.B) {
 	g := ablationGraph()
 	for _, lambda := range []float64{0.01, 0.1, 1.0} {
 		b.Run(fmt.Sprintf("lambda=%g", lambda), func(b *testing.B) {
-			cfg := dne.DefaultConfig()
-			cfg.Lambda = lambda
+			spec := partition.NewSpec(16, 0).WithParam("lambda", lambda)
 			for i := 0; i < b.N; i++ {
-				res, err := dne.Partition(g, 16, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.WastedSelections)/float64(res.TotalSelections), "waste-rate")
+				res := partitionDNE(b, g, spec)
+				b.ReportMetric(res.Stats.Extra["wasted_selections"]/res.Stats.Extra["total_selections"], "waste-rate")
 			}
 		})
 	}
@@ -242,10 +219,7 @@ func BenchmarkAblationDrestStaleness(b *testing.B) {
 // 20%-deletion churn stream.
 func BenchmarkDynamicChurn(b *testing.B) {
 	g := gen.RMAT(13, 16, 21)
-	res, err := dne.Partition(g, 16, dne.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
+	res := partitionDNE(b, g, partition.NewSpec(16, 0))
 	events := dynpart.Churn(g, 100_000, 0.2, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

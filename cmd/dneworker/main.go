@@ -1,14 +1,13 @@
 // Command dneworker is one machine of a multi-process Distributed NE run
 // over TCP.
 //
-// In the shard mode (-shard-dir) each worker reads only its own slice of
-// the input — the EShard files whose index ≡ rank (mod size), as written by
-// gengraph -shards — so no process holds the full graph while partitioning
-// (rank 0 assembles the final 12-byte-per-edge owner sequence at collection
-// time, after the algorithm finishes). The workers shuffle their shards to
-// 2D-grid owners, expand, and rank 0 prints the partitioning checksum,
-// which equals dnepart -checksum for the same graph, seed and partition
-// count:
+// Each worker reads only its own slice of the input — the shard files in
+// -shard-dir whose index ≡ rank (mod size), as written by gengraph -shards —
+// so no process holds the full graph while partitioning (rank 0 assembles
+// the final 12-byte-per-edge owner sequence at collection time, after the
+// algorithm finishes). The workers shuffle their shards to 2D-grid owners,
+// expand, and rank 0 prints a RESULT line whose partitioning checksum
+// equals dnepart -checksum for the same graph, seed and partition count:
 //
 //	gengraph -kind rmat -scale 16 -ef 16 -seed 42 -shards 8 -shard-dir shards/
 //	dneworker -rank 0 -size 4 -addr 127.0.0.1:7777 -shard-dir shards/ &
@@ -16,9 +15,10 @@
 //	dneworker -rank 2 -size 4 -addr 127.0.0.1:7777 -shard-dir shards/ &
 //	dneworker -rank 3 -size 4 -addr 127.0.0.1:7777 -shard-dir shards/
 //
-// The legacy mode (no -shard-dir) regenerates the identical RMAT graph in
-// every process from shared flags and runs the whole-graph path; it remains
-// for A/B comparison against the shard data plane.
+// With -ckpt-dir the workers checkpoint every -ckpt-every supersteps and
+// survive a worker crash: the restarted worker rejoins the mesh and every
+// rank resumes from the newest checkpoint they all hold, with the same
+// checksum as a fault-free run.
 //
 // Rank 0 hosts the router. examples/multiprocess spawns the arrangement
 // automatically.
@@ -34,9 +34,7 @@ import (
 
 	"github.com/distributedne/dne/internal/cluster"
 	"github.com/distributedne/dne/internal/dne"
-	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
-	"github.com/distributedne/dne/internal/partition"
 )
 
 // hardAbortGrace is how long a worker keeps waiting for the collective
@@ -49,14 +47,12 @@ func main() {
 		rank     = flag.Int("rank", 0, "this machine's rank in [0,size)")
 		size     = flag.Int("size", 4, "number of machines (= partitions)")
 		addr     = flag.String("addr", "127.0.0.1:7777", "router address (rank 0 listens here)")
-		shardDir = flag.String("shard-dir", "", "read EShard files with index%size==rank from this directory")
-		scale    = flag.Int("rmat", 12, "legacy mode: RMAT scale of the shared input graph")
-		ef       = flag.Int("ef", 16, "legacy mode: RMAT edge factor")
+		shardDir = flag.String("shard-dir", "", "read EShard files with index%size==rank from this directory (required)")
 		seed     = flag.Int64("seed", 42, "shared random seed")
 		alpha    = flag.Float64("alpha", 1.1, "imbalance factor")
 		lambda   = flag.Float64("lambda", 0.1, "expansion factor")
 
-		ckptDir      = flag.String("ckpt-dir", "", "fault tolerance: write per-superstep checkpoints here and survive worker restarts (shard mode only)")
+		ckptDir      = flag.String("ckpt-dir", "", "fault tolerance: write per-superstep checkpoints here and survive worker restarts")
 		ckptEvery    = flag.Int("ckpt-every", 1, "fault tolerance: checkpoint every N supersteps")
 		maxRestarts  = flag.Int("max-restarts", 3, "fault tolerance: mesh rebuilds survived before giving up")
 		rejoinWindow = flag.Duration("rejoin-window", 30*time.Second, "fault tolerance: how long the router waits for a restarted worker to rejoin")
@@ -65,7 +61,7 @@ func main() {
 	flag.Parse()
 	ft := ftFlags{dir: *ckptDir, every: *ckptEvery, maxRestarts: *maxRestarts,
 		rejoinWindow: *rejoinWindow, heartbeat: *heartbeat}
-	if err := run(*rank, *size, *addr, *shardDir, *scale, *ef, *seed, *alpha, *lambda, ft); err != nil {
+	if err := run(*rank, *size, *addr, *shardDir, *seed, *alpha, *lambda, ft); err != nil {
 		fmt.Fprintf(os.Stderr, "dneworker rank %d: %v\n", *rank, err)
 		os.Exit(1)
 	}
@@ -73,7 +69,7 @@ func main() {
 
 // ftFlags bundles the fault-tolerance command line. A non-empty dir turns
 // the feature on: checkpoints are written there, the rank-0 router accepts
-// mesh rebuilds, and dials retry with backoff.
+// mesh rebuilds, and a worker redials and resumes after a transport loss.
 type ftFlags struct {
 	dir          string
 	every        int
@@ -93,9 +89,9 @@ func (f ftFlags) heartbeatTimeout() time.Duration {
 	return 4 * f.heartbeat
 }
 
-func run(rank, size int, addr, shardDir string, scale, ef int, seed int64, alpha, lambda float64, ft ftFlags) error {
-	if ft.enabled() && shardDir == "" {
-		return fmt.Errorf("-ckpt-dir requires -shard-dir (checkpointing covers the shard data plane)")
+func run(rank, size int, addr, shardDir string, seed int64, alpha, lambda float64, ft ftFlags) error {
+	if shardDir == "" {
+		return fmt.Errorf("-shard-dir is required (write the shards with gengraph -shards)")
 	}
 	var wait func() error
 	if rank == 0 {
@@ -135,96 +131,38 @@ func run(rank, size int, addr, shardDir string, scale, ef int, seed int64, alpha
 		hardCancel()
 	}()
 
-	if ft.enabled() {
-		// The fault-tolerant driver owns dialing: it reconnects after a
-		// transport loss, so the node is created (and re-created) inside.
-		start := time.Now()
-		runErr := runShardsFT(ctx, hardCtx, rank, size, addr, shardDir, cfg, ft, start)
-		if wait != nil {
-			done := make(chan error, 1)
-			go func() { done <- wait() }()
-			select {
-			case err := <-done:
-				if runErr == nil {
-					runErr = err
-				}
-			case <-time.After(3 * time.Second):
-			}
-		}
+	runErr := runShards(ctx, hardCtx, rank, size, addr, shardDir, cfg, ft)
+	if wait == nil {
 		return runErr
 	}
-
-	node, err := dialWithRetry(hardCtx, addr, rank, size)
-	if err != nil {
-		return err
-	}
-
-	start := time.Now()
-	var runErr error
-	if shardDir != "" {
-		runErr = runShards(ctx, node, rank, size, shardDir, cfg, start)
-	} else {
-		runErr = runWholeGraph(ctx, node, rank, size, scale, ef, seed, cfg, start)
-	}
-	if runErr != nil {
-		// Close politely (Bye) and, at rank 0, let the router drain the
-		// final superstep's frames to the other ranks so they abort
-		// collectively rather than finding a dead connection.
-		_ = node.Close()
-		if wait != nil {
-			done := make(chan error, 1)
-			go func() { done <- wait() }()
-			select {
-			case <-done:
-			case <-time.After(3 * time.Second):
-			}
-		}
-		return runErr
-	}
-	if err := node.Close(); err != nil {
-		return err
-	}
-	if wait != nil {
+	if runErr == nil && !ft.enabled() {
 		return wait()
 	}
-	return nil
+	// After a failure — or with rejoins enabled, where the router may hold
+	// its rejoin window open — give the router a bounded grace period to
+	// drain the final superstep's frames to the other ranks, so they abort
+	// collectively rather than finding a dead connection.
+	done := make(chan error, 1)
+	go func() { done <- wait() }()
+	select {
+	case err := <-done:
+		if runErr == nil {
+			runErr = err
+		}
+	case <-time.After(3 * time.Second):
+	}
+	return runErr
 }
 
-// runShards is the sharded data plane: this rank loads only its own shard
-// files and never sees the full graph.
-func runShards(ctx context.Context, node *cluster.TCPNode, rank, size int, dir string, cfg dne.Config, start time.Time) error {
-	shard, err := graph.ReadShardDir(dir, func(index, count uint32) bool {
-		return int(index)%size == rank
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("rank %d: loaded %d shard edges (|V|=%d) from %s\n",
-		rank, shard.NumEdges(), shard.NumVertices, dir)
-	res, stats, err := dne.PartitionShards(ctx, node, shard, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("rank %d: iterations=%d partition-edges=%d peak-mem=%.1fMB comm=%.1fMB\n",
-		rank, stats.Iterations, stats.PartEdges,
-		float64(stats.MemBytes)/(1<<20), float64(stats.CommBytes)/(1<<20))
-	if res != nil {
-		fmt.Printf("rank 0: RESULT |V|=%d |E|=%d parts=%d EB=%.3f checksum=%#x elapsed=%v\n",
-			shard.NumVertices, res.NumEdges(), res.NumParts, res.EdgeBalance(),
-			res.Checksum(), time.Since(start))
-	}
-	return nil
-}
-
-// runShardsFT is the fault-tolerant shard data plane: per-superstep
-// checkpoints in ft.dir, dial retries with backoff, and rejoin after a
+// runShards partitions this rank's shard files; this rank never sees the
+// full graph. Dials retry with backoff until the rank-0 router listens and
+// give up when hardCtx fires. Without -ckpt-dir the run uses one connection
+// and fails on a transport loss; with it, the fault-tolerant driver owns
+// dialing, checkpoints every ft.every supersteps and rejoins after a
 // transport loss. ctx aborts the run collectively at the next superstep
 // boundary; hardCtx is the transport watchdog that kills blocked receives.
-func runShardsFT(ctx, hardCtx context.Context, rank, size int, addr, dir string, cfg dne.Config, ft ftFlags, start time.Time) error {
-	ckpt, err := dne.NewCheckpointer(ft.dir, rank, size, ft.every, cfg)
-	if err != nil {
-		return err
-	}
+func runShards(ctx, hardCtx context.Context, rank, size int, addr, dir string, cfg dne.Config, ft ftFlags) error {
+	start := time.Now()
 	loadShard := func() (*graph.Shard, error) {
 		shard, err := graph.ReadShardDir(dir, func(index, count uint32) bool {
 			return int(index)%size == rank
@@ -237,74 +175,64 @@ func runShardsFT(ctx, hardCtx context.Context, rank, size int, addr, dir string,
 		return shard, nil
 	}
 	pol := cluster.RetryPolicy{
-		MaxAttempts: 100,
+		MaxAttempts: 50,
 		BaseDelay:   100 * time.Millisecond,
-		MaxDelay:    ft.rejoinWindow / 10,
+		MaxDelay:    100 * time.Millisecond,
 		Seed:        cfg.Seed ^ int64(rank),
 	}
-	dopt := cluster.DialOptions{
-		HeartbeatInterval: ft.heartbeat,
-		HeartbeatTimeout:  ft.heartbeatTimeout(),
-	}
-	connect := func(context.Context) (cluster.Comm, error) {
-		return cluster.DialTCPRetry(hardCtx, addr, rank, size, pol, dopt)
-	}
-	res, stats, err := dne.PartitionShardsFT(ctx, cfg, dne.FTOptions{
-		Checkpoint:  ckpt,
-		Connect:     connect,
-		LoadShard:   loadShard,
-		MaxRestarts: ft.maxRestarts,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
-	if err != nil {
-		return err
+	var res *dne.ShardResult
+	var stats *dne.MachineStats
+	if ft.enabled() {
+		ckpt, err := dne.NewCheckpointer(ft.dir, rank, size, ft.every, cfg)
+		if err != nil {
+			return err
+		}
+		pol.MaxAttempts = 100
+		pol.MaxDelay = ft.rejoinWindow / 10
+		dopt := cluster.DialOptions{
+			HeartbeatInterval: ft.heartbeat,
+			HeartbeatTimeout:  ft.heartbeatTimeout(),
+		}
+		res, stats, err = dne.PartitionShardsFT(ctx, cfg, dne.FTOptions{
+			Checkpoint: ckpt,
+			Connect: func(context.Context) (cluster.Comm, error) {
+				return cluster.DialTCPRetry(hardCtx, addr, rank, size, pol, dopt)
+			},
+			LoadShard:   loadShard,
+			MaxRestarts: ft.maxRestarts,
+			Logf: func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, format+"\n", args...)
+			},
+		})
+		if err != nil {
+			return err
+		}
+	} else {
+		node, err := cluster.DialTCPRetry(hardCtx, addr, rank, size, pol, cluster.DialOptions{})
+		if err != nil {
+			return err
+		}
+		shard, err := loadShard()
+		if err == nil {
+			res, stats, err = dne.PartitionShards(ctx, node, shard, cfg)
+		}
+		// Close politely (Bye) on success and failure alike, so a failed
+		// rank's peers abort collectively instead of finding a dead
+		// connection.
+		if cerr := node.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
 	}
 	fmt.Printf("rank %d: iterations=%d partition-edges=%d peak-mem=%.1fMB comm=%.1fMB\n",
 		rank, stats.Iterations, stats.PartEdges,
 		float64(stats.MemBytes)/(1<<20), float64(stats.CommBytes)/(1<<20))
 	if res != nil {
-		fmt.Printf("rank 0: RESULT |E|=%d parts=%d EB=%.3f checksum=%#x elapsed=%v\n",
-			res.NumEdges(), res.NumParts, res.EdgeBalance(),
+		fmt.Printf("rank 0: RESULT |V|=%d |E|=%d parts=%d EB=%.3f checksum=%#x elapsed=%v\n",
+			res.NumVertices, res.NumEdges(), res.NumParts, res.EdgeBalance(),
 			res.Checksum(), time.Since(start))
 	}
 	return nil
-}
-
-// runWholeGraph is the legacy path: every worker regenerates the identical
-// graph deterministically and holds all of it.
-func runWholeGraph(ctx context.Context, node *cluster.TCPNode, rank, size, scale, ef int, seed int64, cfg dne.Config, start time.Time) error {
-	g := gen.RMAT(scale, ef, seed)
-	owner, stats, err := dne.PartitionOver(ctx, node, g, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("rank %d: iterations=%d partition-edges=%d peak-mem=%.1fMB comm=%.1fMB\n",
-		rank, stats.Iterations, stats.PartEdges,
-		float64(stats.MemBytes)/(1<<20), float64(stats.CommBytes)/(1<<20))
-	if rank == 0 {
-		pt := &partition.Partitioning{NumParts: size, Owner: owner}
-		if err := pt.Validate(g); err != nil {
-			return fmt.Errorf("result validation: %w", err)
-		}
-		q := pt.Measure(g)
-		fmt.Printf("rank 0: RESULT graph=%v parts=%d RF=%.4f EB=%.3f checksum=%#x elapsed=%v\n",
-			g, size, q.ReplicationFactor, q.EdgeBalance, partition.Checksum(owner), time.Since(start))
-	}
-	return nil
-}
-
-// dialWithRetry tolerates workers starting before the rank-0 router listens.
-func dialWithRetry(ctx context.Context, addr string, rank, size int) (*cluster.TCPNode, error) {
-	var lastErr error
-	for attempt := 0; attempt < 50; attempt++ {
-		node, err := cluster.DialTCPContext(ctx, addr, rank, size)
-		if err == nil {
-			return node, nil
-		}
-		lastErr = err
-		time.Sleep(100 * time.Millisecond)
-	}
-	return nil, lastErr
 }

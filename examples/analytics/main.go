@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -17,16 +18,17 @@ import (
 	"github.com/distributedne/dne/internal/engine"
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
+	"github.com/distributedne/dne/internal/partition"
 )
 
 func main() {
 	g := gen.RMAT(13, 16, 42)
-	res, err := dne.Partition(g, 8, dne.DefaultConfig())
+	res, err := dne.Partitioner{}.Partition(context.Background(), g, partition.NewSpec(8, 0))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("partitioned %v into 8 parts, RF %.3f\n\n",
-		g, res.Partitioning.Measure(g).ReplicationFactor)
+		g, res.Quality.ReplicationFactor)
 
 	e := engine.New(g, res.Partitioning)
 

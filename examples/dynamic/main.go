@@ -7,12 +7,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"github.com/distributedne/dne/internal/dne"
 	"github.com/distributedne/dne/internal/dynpart"
 	"github.com/distributedne/dne/internal/gen"
+	"github.com/distributedne/dne/internal/partition"
 )
 
 func main() {
@@ -21,12 +23,12 @@ func main() {
 	// 1. Yesterday's snapshot of a skewed social graph, partitioned offline
 	//    with Distributed NE.
 	snapshot := gen.RMAT(13, 16, 42)
-	res, err := dne.Partition(snapshot, parts, dne.DefaultConfig())
+	res, err := dne.Partitioner{}.Partition(context.Background(), snapshot, partition.NewSpec(parts, 0))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("snapshot: %v, DNE RF %.3f in %d supersteps\n",
-		snapshot, res.Partitioning.Measure(snapshot).ReplicationFactor, res.Iterations)
+		snapshot, res.Quality.ReplicationFactor, res.Stats.Iterations)
 
 	// 2. Seed the incremental maintainer from the static result.
 	d, err := dynpart.FromStatic(snapshot, res.Partitioning, dynpart.DefaultOptions())

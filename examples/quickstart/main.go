@@ -5,12 +5,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"github.com/distributedne/dne/internal/cluster"
 	"github.com/distributedne/dne/internal/dne"
 	"github.com/distributedne/dne/internal/gen"
+	"github.com/distributedne/dne/internal/partition"
 )
 
 func main() {
@@ -19,22 +21,21 @@ func main() {
 	g := gen.RMAT(14, 16, 42)
 	fmt.Printf("input: %v (max degree %d)\n", g, g.MaxDegree())
 
-	// 2. Partition it 8 ways with the paper's default parameters
-	//    (imbalance α = 1.1, multi-expansion λ = 0.1).
-	cfg := dne.DefaultConfig()
-	cfg.Seed = 42
-	res, err := dne.Partition(g, 8, cfg)
+	// 2. Partition it 8 ways with the paper's parameters, imbalance α = 1.1
+	//    and multi-expansion λ = 0.1 (also the defaults when unset).
+	spec := partition.NewSpec(8, 42).WithParam("alpha", 1.1).WithParam("lambda", 0.1)
+	res, err := dne.Partitioner{}.Partition(context.Background(), g, spec)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 3. Inspect quality and execution metrics.
-	q := res.Partitioning.Measure(g)
+	q, st := res.Quality, &res.Stats
 	fmt.Printf("replication factor: %.3f (lower is better; random hashing gives ~%0.1f)\n",
 		q.ReplicationFactor, 6.0)
 	fmt.Printf("edge balance: %.3f (target α = 1.1; multi-expansion batches can overshoot slightly)\n", q.EdgeBalance)
 	fmt.Printf("supersteps: %d   inter-machine traffic: %.1f MB   mem score: %.1f B/edge\n",
-		res.Iterations, float64(res.CommBytes)/(1<<20), res.MemScore(g.NumEdges()))
+		st.Iterations, float64(st.CommBytes)/(1<<20), st.MemScore(g.NumEdges()))
 
 	// 4. The per-edge assignment is in res.Partitioning.Owner, aligned with
 	//    g.Edges(); per-partition sizes:
@@ -43,6 +44,6 @@ func main() {
 	// 5. The communication is fully accounted, so the network time a real
 	//    cluster would add is estimable under an alpha-beta cost model.
 	fmt.Printf("simulated network time: %v (InfiniBand EDR) / %v (10GbE)\n",
-		res.SimulatedNetworkTime(cluster.InfiniBandEDR(), 8),
-		res.SimulatedNetworkTime(cluster.TenGbE(), 8))
+		dne.SimulatedNetworkTime(st, cluster.InfiniBandEDR()),
+		dne.SimulatedNetworkTime(st, cluster.TenGbE()))
 }

@@ -15,12 +15,12 @@ func TestBroadcastReplicasSameResultMoreTraffic(t *testing.T) {
 	const parts = 9
 	cfg := DefaultConfig()
 	cfg.Seed = 5
-	grid, err := Partition(g, parts, cfg)
+	grid, err := partitionWith(g, parts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.BroadcastReplicas = true
-	bcast, err := Partition(g, parts, cfg)
+	bcast, err := partitionWith(g, parts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,18 +30,19 @@ func TestBroadcastReplicasSameResultMoreTraffic(t *testing.T) {
 				i, grid.Partitioning.Owner[i], bcast.Partitioning.Owner[i])
 		}
 	}
-	if bcast.CommBytes <= grid.CommBytes {
-		t.Errorf("broadcast bytes %d not above grid bytes %d", bcast.CommBytes, grid.CommBytes)
+	gridBytes, bcastBytes := grid.Stats.CommBytes, bcast.Stats.CommBytes
+	if bcastBytes <= gridBytes {
+		t.Errorf("broadcast bytes %d not above grid bytes %d", bcastBytes, gridBytes)
 	}
 	t.Logf("fanout ablation: grid %d bytes, broadcast %d bytes (%.2fx)",
-		grid.CommBytes, bcast.CommBytes, float64(bcast.CommBytes)/float64(grid.CommBytes))
+		gridBytes, bcastBytes, float64(bcastBytes)/float64(gridBytes))
 }
 
 func TestParallelAllocationCompleteAndBalanced(t *testing.T) {
 	g := gen.RMAT(11, 16, 7)
 	cfg := DefaultConfig()
 	cfg.ParallelAllocation = true
-	res, err := Partition(g, 8, cfg)
+	res, err := partitionWith(g, 8, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestParallelAllocationCompleteAndBalanced(t *testing.T) {
 		t.Errorf("edge balance %.3f too loose under parallel allocation", q.EdgeBalance)
 	}
 	// Quality must stay in the same class as the sequential mode.
-	seq, err := Partition(g, 8, DefaultConfig())
+	seq, err := partitionWith(g, 8, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,18 +67,19 @@ func TestParallelAllocationCompleteAndBalanced(t *testing.T) {
 
 func TestSelectionCountersReported(t *testing.T) {
 	g := gen.RMAT(10, 8, 2)
-	res, err := Partition(g, 8, DefaultConfig())
+	res, err := partitionWith(g, 8, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalSelections <= 0 {
+	total, wasted := res.Stats.Extra["total_selections"], res.Stats.Extra["wasted_selections"]
+	if total <= 0 {
 		t.Fatal("no selections counted")
 	}
-	if res.WastedSelections < 0 || res.WastedSelections > res.TotalSelections {
-		t.Fatalf("wasted %d outside [0,%d]", res.WastedSelections, res.TotalSelections)
+	if wasted < 0 || wasted > total {
+		t.Fatalf("wasted %v outside [0,%v]", wasted, total)
 	}
-	if res.CASConflicts != 0 {
-		t.Errorf("sequential mode reported %d CAS conflicts, want 0", res.CASConflicts)
+	if c := res.Stats.Extra["cas_conflicts"]; c != 0 {
+		t.Errorf("sequential mode reported %v CAS conflicts, want 0", c)
 	}
 }
 
@@ -90,11 +92,11 @@ func TestWastedSelectionsGrowWithLambda(t *testing.T) {
 	rate := func(lambda float64) float64 {
 		cfg := DefaultConfig()
 		cfg.Lambda = lambda
-		res, err := Partition(g, 8, cfg)
+		res, err := partitionWith(g, 8, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return float64(res.WastedSelections) / float64(res.TotalSelections)
+		return res.Stats.Extra["wasted_selections"] / res.Stats.Extra["total_selections"]
 	}
 	lo, hi := rate(0.01), rate(1.0)
 	if hi < lo*0.5 {

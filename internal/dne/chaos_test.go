@@ -2,7 +2,6 @@ package dne
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
@@ -21,37 +20,36 @@ func TestChaosTransportGivesIdenticalPartitioning(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 3
 
-	plain, err := Partition(g, parts, cfg)
+	plain, err := partitionWith(g, parts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	shards := hashShards(g, parts)
 	c := cluster.New(parts)
-	owners := make([][]int32, parts)
-	var mu sync.Mutex
+	var chaotic *ShardResult
 	err = c.Run(func(comm cluster.Comm) error {
 		w := cluster.NewChaos(comm, int64(comm.Rank())*131+7, 150*time.Microsecond)
 		defer w.Close()
-		owner, _, err := PartitionOver(context.Background(), w, g, cfg)
-		if err != nil {
-			return err
+		res, _, err := PartitionShards(context.Background(), w, shards[comm.Rank()], cfg)
+		if comm.Rank() == 0 {
+			chaotic = res
 		}
-		mu.Lock()
-		owners[comm.Rank()] = owner
-		mu.Unlock()
-		return nil
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaotic := owners[0]
 	if chaotic == nil {
 		t.Fatal("rank 0 returned no result")
 	}
-	for i := range chaotic {
-		if chaotic[i] != plain.Partitioning.Owner[i] {
+	if len(chaotic.Owner) != len(plain.Partitioning.Owner) {
+		t.Fatalf("chaos run collected %d edges, plain run %d", len(chaotic.Owner), len(plain.Partitioning.Owner))
+	}
+	for i, o := range chaotic.Owner {
+		if o != plain.Partitioning.Owner[i] {
 			t.Fatalf("edge %d: chaos owner %d != plain owner %d",
-				i, chaotic[i], plain.Partitioning.Owner[i])
+				i, o, plain.Partitioning.Owner[i])
 		}
 	}
 }

@@ -11,15 +11,20 @@
 // Multi-expansion (§5) batches the λ·|B| best boundary vertices per
 // superstep to cut iteration counts by orders of magnitude.
 //
-// The distributed runtime is an in-process message-passing cluster
-// (internal/cluster); every machine is a goroutine, and all coordination is
-// via tagged, size-accounted messages, so communication volume and iteration
-// counts are faithful to the distributed algorithm even on one host.
+// PartitionShards is the one driver: every machine feeds in only its own
+// edge shard, shuffles it to the 2D-hash grid owners and runs the superstep
+// protocol over its received share, so no machine ever holds the whole
+// graph (§3.3–§4). It runs over any cluster.Comm — the in-process
+// message-passing cluster of internal/cluster, where every machine is a
+// goroutine, or TCP across OS processes (cmd/dneworker). Partitioner runs
+// it in process over stripes of an in-memory graph; PartitionShardsFT adds
+// superstep checkpoints and rejoin. All coordination is via tagged,
+// size-accounted messages, so communication volume and iteration counts are
+// faithful to the distributed algorithm even on one host.
 package dne
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -59,7 +64,7 @@ type Config struct {
 	// between simultaneously-requesting partitions then depends on race
 	// winners, so runs are NOT bit-reproducible; the default sequential mode
 	// is deterministic and allocates identically. Ablation knob for
-	// DESIGN.md §4.1 (Result.CASConflicts).
+	// DESIGN.md §4.1 (MachineStats.CASConflicts).
 	ParallelAllocation bool
 }
 
@@ -68,57 +73,15 @@ func DefaultConfig() Config {
 	return Config{Alpha: 1.1, Lambda: 0.1}
 }
 
-// Result is a partitioning together with the run's execution metrics.
-type Result struct {
-	Partitioning *partition.Partitioning
-	// Iterations is the number of supersteps executed (Fig. 6 metric).
-	Iterations int
-	// SweptEdges counts edges assigned by the final leftover sweep
-	// (normally 0).
-	SweptEdges int64
-	// CommBytes / CommMessages are the total inter-machine traffic of the
-	// partitioning itself (result collection excluded).
-	CommBytes    int64
-	CommMessages int64
-	// MemBytes is the analytic peak memory across all machines (graph
-	// shares + partition edge sets + boundaries); MemScore = MemBytes/|E|
-	// is the Fig. 9 metric.
-	MemBytes int64
-	Elapsed  time.Duration
-	// CASConflicts counts contended edge claims lost to a concurrent
-	// partition (non-zero only with Config.ParallelAllocation).
-	CASConflicts int64
-	// WastedSelections counts selection deliveries ⟨v,p⟩ that allocated no
-	// one-hop edge on the receiving machine — the cost of stale boundary
-	// Drest scores (DESIGN.md §4.4).
-	WastedSelections int64
-	// TotalSelections counts all selection deliveries, the denominator for
-	// the staleness rate.
-	TotalSelections int64
-}
-
-// MemScore returns MemBytes normalised by the number of edges (Fig. 9).
-func (r *Result) MemScore(numEdges int64) float64 {
-	if numEdges == 0 {
-		return 0
-	}
-	return float64(r.MemBytes) / float64(numEdges)
-}
-
-// SimulatedNetworkTime estimates the network component this run would add
-// on a physical cluster of the given size under the cost model — the
-// substitution bridge between the in-process runtime (memcpy-fast
-// communication) and the paper's InfiniBand testbed. Each superstep is
-// charged four synchronisation rounds (select, sync, boundary/edges, and
-// the termination all-gathers), matching the protocol in machine.go.
-func (r *Result) SimulatedNetworkTime(m cluster.CostModel, machines int) time.Duration {
-	return m.Estimate(r.CommMessages, r.CommBytes, r.Iterations*4, machines)
-}
-
-// Partition runs Distributed NE on g with numParts machines (the paper runs
-// one partition per machine, §3.3) and returns the partitioning plus metrics.
-func Partition(g *graph.Graph, numParts int, cfg Config) (*Result, error) {
-	return PartitionCtx(context.Background(), g, numParts, cfg)
+// SimulatedNetworkTime estimates the network component a DNE run with the
+// given statistics would add on a physical cluster of st.NumParts machines
+// under the cost model — the substitution bridge between the in-process
+// runtime (memcpy-fast communication) and the paper's InfiniBand testbed.
+// Each superstep is charged four synchronisation rounds (select, sync,
+// boundary/edges, and the termination all-gathers), matching the protocol
+// in machine.go.
+func SimulatedNetworkTime(st *partition.Stats, m cluster.CostModel) time.Duration {
+	return m.Estimate(st.CommMessages, st.CommBytes, st.Iterations*4, st.NumParts)
 }
 
 // validate checks the algorithm parameters.
@@ -132,79 +95,14 @@ func (cfg Config) validate() error {
 	return nil
 }
 
-// PartitionCtx is Partition with cancellation: the superstep loop checks
-// ctx once per iteration (collectively, so all machines abort together) and
-// returns ctx's error.
-//
-// It is a thin adapter onto the sharded data plane: the in-memory graph is
-// split into |P| synthetic shards (contiguous stripes of the canonical edge
-// list) and every machine runs the same shuffle → subgraph → superstep
-// pipeline a true multi-process run uses, so the in-process simulation
-// exercises the exact distributed code path. The seeded partitioning is
-// bit-identical to the pre-shard driver (same subgraphs, same protocol).
-func PartitionCtx(ctx context.Context, g *graph.Graph, numParts int, cfg Config) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if numParts <= 0 {
-		return nil, fmt.Errorf("dne: numParts must be positive, got %d", numParts)
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if g.NumEdges() == 0 {
-		return nil, errors.New("dne: graph has no edges")
-	}
-
-	c := cluster.New(numParts)
-	results := make([]machineResult, numParts)
-	p := partition.New(numParts, g.NumEdges())
-
-	start := time.Now()
-	shards := graph.ShardsOf(g, numParts)
-	var rootKeys []uint64
-	var rootOwners []int32
-	err := c.Run(func(comm cluster.Comm) error {
-		keys, owners, err := runShardMachine(ctx, comm, shards[comm.Rank()], cfg, &results[comm.Rank()])
-		if comm.Rank() == 0 {
-			rootKeys, rootOwners = keys, owners
-		}
-		return err
-	})
-	elapsed := time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	// The merged keys are the canonical edge list in ascending order, so the
-	// merged owners line up 1:1 with g's edge indices.
-	if int64(len(rootKeys)) != g.NumEdges() {
-		return nil, fmt.Errorf("dne: collected %d edges, graph has %d", len(rootKeys), g.NumEdges())
-	}
-	copy(p.Owner, rootOwners)
-
-	res := &Result{Partitioning: p, Elapsed: elapsed}
-	for _, mr := range results {
-		if mr.iterations > res.Iterations {
-			res.Iterations = mr.iterations
-		}
-		res.MemBytes += mr.memBytes
-		res.CommBytes += mr.commBytes
-		res.CommMessages += mr.commMsgs
-		res.CASConflicts += mr.conflicts
-		res.WastedSelections += mr.wasted
-		res.TotalSelections += mr.selections
-	}
-	res.SweptEdges = results[0].swept
-	return res, nil
-}
-
-// Partitioner adapts PartitionCtx to the v2 partition.Partitioner
-// interface. It is stateless: configuration arrives in the Spec (alpha,
-// lambda, single_expansion, broadcast_replicas, parallel_allocation,
-// max_iterations), and the run's metrics are folded into Result.Stats —
-// iteration count, communication volume, the analytic peak memory (the
-// Fig. 9 MemScore numerator) and the simulated network time under the
-// paper's InfiniBand cost model in Extra.
+// Partitioner runs Distributed NE in process behind the v2
+// partition.Partitioner interface. It is stateless: configuration arrives
+// in the Spec (alpha, lambda, single_expansion, broadcast_replicas,
+// parallel_allocation, max_iterations), and the run's metrics are folded
+// into Result.Stats — iteration count, communication volume, the analytic
+// peak memory (the Fig. 9 MemScore numerator) and, in Extra, the selection
+// counters and the simulated network time under the paper's InfiniBand
+// cost model.
 type Partitioner struct{}
 
 // Name implements partition.Partitioner.
@@ -224,31 +122,59 @@ func ConfigFromSpec(spec partition.Spec) Config {
 	}
 }
 
-// Partition implements partition.Partitioner.
+// Partition implements partition.Partitioner. It runs the one DNE driver,
+// PartitionShards, on every rank of an in-process cluster of
+// spec.NumParts machines, each fed a contiguous stripe of g's canonical
+// edges (graph.ShardsOf), so the in-process simulation exercises the exact
+// code path of a multi-process run. Cancelling ctx aborts the run at the
+// next superstep boundary, collectively across all machines.
 func (Partitioner) Partition(ctx context.Context, g *graph.Graph, spec partition.Spec) (*partition.Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	p := spec.NumParts
+	cfg := ConfigFromSpec(spec)
 	start := time.Now()
-	res, err := PartitionCtx(ctx, g, spec.NumParts, ConfigFromSpec(spec))
+	shards := graph.ShardsOf(g, p)
+	machines := make([]*MachineStats, p)
+	var root *ShardResult
+	err := cluster.New(p).Run(func(comm cluster.Comm) error {
+		res, ms, err := PartitionShards(ctx, comm, shards[comm.Rank()], cfg)
+		machines[comm.Rank()] = ms
+		if comm.Rank() == 0 {
+			root = res
+		}
+		return err
+	})
+	elapsed := time.Since(start)
 	if err != nil {
 		return nil, err
 	}
-	out := &partition.Result{Partitioning: res.Partitioning}
+	// The collected keys are the canonical edge list in ascending order, so
+	// the owners line up 1:1 with g's edge indices.
+	if root.NumEdges() != g.NumEdges() {
+		return nil, fmt.Errorf("dne: collected %d edges, graph has %d", root.NumEdges(), g.NumEdges())
+	}
+	out := &partition.Result{Partitioning: &partition.Partitioning{NumParts: p, Owner: root.Owner}}
 	st := &out.Stats
 	st.Method = "dne"
-	st.NumParts = spec.NumParts
-	st.AddPhase("expand", res.Elapsed)
-	st.PeakMemBytes = res.MemBytes
-	st.Iterations = res.Iterations
-	st.CommBytes = res.CommBytes
-	st.CommMessages = res.CommMessages
-	st.SweptEdges = res.SweptEdges
-	st.SetExtra("cas_conflicts", float64(res.CASConflicts))
-	st.SetExtra("wasted_selections", float64(res.WastedSelections))
-	st.SetExtra("total_selections", float64(res.TotalSelections))
-	st.SetExtra("simulated_network_ms",
-		float64(res.SimulatedNetworkTime(cluster.InfiniBandEDR(), spec.NumParts).Microseconds())/1000)
+	st.NumParts = p
+	st.AddPhase("expand", elapsed)
+	var conflicts, wasted, selections int64
+	for _, ms := range machines {
+		st.Iterations = max(st.Iterations, ms.Iterations)
+		st.PeakMemBytes += ms.MemBytes
+		st.CommBytes += ms.CommBytes
+		st.CommMessages += ms.CommMsgs
+		conflicts += ms.CASConflicts
+		wasted += ms.WastedSelections
+		selections += ms.TotalSelections
+	}
+	st.SweptEdges = machines[0].SweptEdges
+	st.SetExtra("cas_conflicts", float64(conflicts))
+	st.SetExtra("wasted_selections", float64(wasted))
+	st.SetExtra("total_selections", float64(selections))
+	st.SetExtra("simulated_network_ms", float64(SimulatedNetworkTime(st, cluster.InfiniBandEDR()).Microseconds())/1000)
 	out.Finish(g, start)
 	return out, nil
 }

@@ -24,7 +24,7 @@ func TestTheorem2Tightness(t *testing.T) {
 	parts := n * (n - 1) / 2
 	cfg := DefaultConfig()
 	cfg.SingleExpansion = true
-	res, err := Partition(g, parts, cfg)
+	res, err := partitionWith(g, parts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,41 +83,49 @@ func TestGridFanoutIsSqrtP(t *testing.T) {
 }
 
 func TestSubgraphPartitionIsCompleteAndDisjoint(t *testing.T) {
-	// The 2D-hash distribution must place every edge on exactly one machine.
+	// The 2D-hash distribution must place every edge on exactly one machine:
+	// the shuffle of duplicated, hash-routed shards hands each rank only
+	// edges it owns, and the ranks' shares together hold every edge of g
+	// exactly once.
 	g := gen.RMAT(9, 8, 3)
 	const p = 7
 	gd := newGrid(p)
-	seen := make([]int, g.NumEdges())
-	for rank := 0; rank < p; rank++ {
-		sg := buildSubGraph(g, gd, rank, p)
-		for _, gi := range sg.globalIdx {
-			seen[gi]++
+	held := make(map[uint64]int)
+	for rank, keys := range shuffleAll(t, hashShards(g, p)) {
+		for _, k := range keys {
+			if owner := gd.edgeOwner(uint32(k>>32), uint32(k)); owner != rank {
+				t.Fatalf("edge %v delivered to rank %d, owner is %d", graph.UnpackEdge(k), rank, owner)
+			}
+			held[k]++
 		}
 	}
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("edge %d held by %d machines", i, c)
+	if int64(len(held)) != g.NumEdges() {
+		t.Fatalf("machines hold %d distinct edges, graph has %d", len(held), g.NumEdges())
+	}
+	for i, e := range g.Edges() {
+		if c := held[graph.PackEdge(e.U, e.V)]; c != 1 {
+			t.Fatalf("edge %d held %d times across machines", i, c)
 		}
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
 	g := gen.RMAT(6, 4, 1)
-	if _, err := Partition(g, 0, DefaultConfig()); err == nil {
+	if _, err := partitionWith(g, 0, DefaultConfig()); err == nil {
 		t.Error("numParts=0 must fail")
 	}
 	bad := DefaultConfig()
 	bad.Alpha = 0.9
-	if _, err := Partition(g, 2, bad); err == nil {
+	if _, err := partitionWith(g, 2, bad); err == nil {
 		t.Error("alpha<1 must fail")
 	}
 	bad = DefaultConfig()
 	bad.Lambda = 2
-	if _, err := Partition(g, 2, bad); err == nil {
+	if _, err := partitionWith(g, 2, bad); err == nil {
 		t.Error("lambda>1 must fail")
 	}
 	empty := graph.FromEdges(4, nil)
-	if _, err := Partition(empty, 2, DefaultConfig()); err == nil {
+	if _, err := partitionWith(empty, 2, DefaultConfig()); err == nil {
 		t.Error("empty graph must fail")
 	}
 }
@@ -126,7 +134,7 @@ func TestMoreMachinesThanUsefulStillCompletes(t *testing.T) {
 	// More partitions than a tiny graph can fill: expansion processes idle
 	// out and the sweep (if any) finishes the job.
 	g := graph.FromEdges(0, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
-	res, err := Partition(g, 8, DefaultConfig())
+	res, err := partitionWith(g, 8, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +147,7 @@ func TestStarGraphSingleHub(t *testing.T) {
 	// Every edge shares the hub: RF of the hub is |P| but leaves stay at 1;
 	// the algorithm must terminate and respect the cap.
 	g := gen.Star(1 << 10)
-	res, err := Partition(g, 4, DefaultConfig())
+	res, err := partitionWith(g, 4, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,22 +164,24 @@ func TestStarGraphSingleHub(t *testing.T) {
 func TestTCPTransportMatchesInProcess(t *testing.T) {
 	// The same graph, seed and machine count must give the identical
 	// partitioning over the TCP transport — the algorithm cannot tell
-	// transports apart.
+	// transports apart. Each rank gets the stripe of g the in-process
+	// driver gives it, on a non-square 3-machine grid.
 	g := gen.RMAT(8, 8, 5)
 	const parts = 3
 	cfg := DefaultConfig()
 	cfg.Seed = 17
 
-	inproc, err := Partition(g, parts, cfg)
+	inproc, err := partitionWith(g, parts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	shards := graph.ShardsOf(g, parts)
 	addr, wait, err := cluster.StartRouter("127.0.0.1:0", parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	owners := make([][]int32, parts)
+	var root *ShardResult
 	errs := make([]error, parts)
 	var wg sync.WaitGroup
 	for rank := 0; rank < parts; rank++ {
@@ -183,12 +193,14 @@ func TestTCPTransportMatchesInProcess(t *testing.T) {
 				errs[rank] = err
 				return
 			}
-			owner, _, err := PartitionOver(context.Background(), node, g, cfg)
+			res, _, err := PartitionShards(context.Background(), node, shards[rank], cfg)
 			if err != nil {
 				errs[rank] = err
 				return
 			}
-			owners[rank] = owner
+			if rank == 0 {
+				root = res
+			}
 			errs[rank] = node.Close()
 		}(rank)
 	}
@@ -201,18 +213,17 @@ func TestTCPTransportMatchesInProcess(t *testing.T) {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
 	}
-	tcpOwner := owners[0]
-	if tcpOwner == nil {
+	if root == nil {
 		t.Fatal("rank 0 returned no result")
 	}
-	pt := &partition.Partitioning{NumParts: parts, Owner: tcpOwner}
+	pt := &partition.Partitioning{NumParts: parts, Owner: root.Owner}
 	if err := pt.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	for i := range tcpOwner {
-		if tcpOwner[i] != inproc.Partitioning.Owner[i] {
+	for i, o := range root.Owner {
+		if o != inproc.Partitioning.Owner[i] {
 			t.Fatalf("edge %d: TCP owner %d != in-process owner %d",
-				i, tcpOwner[i], inproc.Partitioning.Owner[i])
+				i, o, inproc.Partitioning.Owner[i])
 		}
 	}
 }
@@ -222,11 +233,11 @@ func TestIterationCountsDropWithLambda(t *testing.T) {
 	iters := func(lambda float64) int {
 		cfg := DefaultConfig()
 		cfg.Lambda = lambda
-		res, err := Partition(g, 8, cfg)
+		res, err := partitionWith(g, 8, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Iterations
+		return res.Stats.Iterations
 	}
 	low, high := iters(0.01), iters(1.0)
 	if high >= low {
@@ -236,15 +247,19 @@ func TestIterationCountsDropWithLambda(t *testing.T) {
 
 func TestMemAndCommReported(t *testing.T) {
 	g := gen.RMAT(9, 8, 3)
-	res, err := Partition(g, 4, DefaultConfig())
+	res, err := partitionWith(g, 4, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MemBytes <= 0 || res.CommBytes <= 0 || res.CommMessages <= 0 {
+	st := res.Stats
+	if st.PeakMemBytes <= 0 || st.CommBytes <= 0 || st.CommMessages <= 0 {
 		t.Errorf("metrics missing: mem=%d comm=%d msgs=%d",
-			res.MemBytes, res.CommBytes, res.CommMessages)
+			st.PeakMemBytes, st.CommBytes, st.CommMessages)
 	}
-	if res.MemScore(g.NumEdges()) <= 0 {
+	if st.MemScore(g.NumEdges()) <= 0 {
 		t.Error("mem score missing")
+	}
+	if st.Extra["simulated_network_ms"] <= 0 {
+		t.Error("simulated network time missing")
 	}
 }

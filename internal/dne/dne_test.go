@@ -1,12 +1,32 @@
 package dne
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"github.com/distributedne/dne/internal/bound"
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
+	"github.com/distributedne/dne/internal/partition"
 )
+
+// partitionWith runs the in-process driver, Partitioner, with every field
+// of cfg passed as a Spec param, and checks that ConfigFromSpec maps the
+// params back onto cfg unchanged.
+func partitionWith(g *graph.Graph, parts int, cfg Config) (*partition.Result, error) {
+	spec := partition.NewSpec(parts, cfg.Seed).
+		WithParam("alpha", cfg.Alpha).
+		WithParam("lambda", cfg.Lambda).
+		WithParam("single_expansion", cfg.SingleExpansion).
+		WithParam("max_iterations", cfg.MaxIterations).
+		WithParam("broadcast_replicas", cfg.BroadcastReplicas).
+		WithParam("parallel_allocation", cfg.ParallelAllocation)
+	if got := ConfigFromSpec(spec); got != cfg {
+		return nil, fmt.Errorf("ConfigFromSpec = %+v, want %+v", got, cfg)
+	}
+	return Partitioner{}.Partition(context.Background(), g, spec)
+}
 
 func testGraph(t *testing.T) *graph.Graph {
 	t.Helper()
@@ -16,7 +36,7 @@ func testGraph(t *testing.T) *graph.Graph {
 func TestPartitionCoversAllEdges(t *testing.T) {
 	g := testGraph(t)
 	for _, p := range []int{1, 2, 4, 7, 16} {
-		res, err := Partition(g, p, DefaultConfig())
+		res, err := partitionWith(g, p, DefaultConfig())
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -29,7 +49,7 @@ func TestPartitionCoversAllEdges(t *testing.T) {
 func TestBalanceWithinAlpha(t *testing.T) {
 	g := testGraph(t)
 	cfg := DefaultConfig()
-	res, err := Partition(g, 8, cfg)
+	res, err := partitionWith(g, 8, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +69,7 @@ func TestTheorem1UpperBoundHolds(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SingleExpansion = true
 	for _, p := range []int{2, 4, 8} {
-		res, err := Partition(g, p, cfg)
+		res, err := partitionWith(g, p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,11 +85,11 @@ func TestDeterministicForFixedSeed(t *testing.T) {
 	g := testGraph(t)
 	cfg := DefaultConfig()
 	cfg.Seed = 7
-	a, err := Partition(g, 4, cfg)
+	a, err := partitionWith(g, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Partition(g, 4, cfg)
+	b, err := partitionWith(g, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +103,7 @@ func TestDeterministicForFixedSeed(t *testing.T) {
 
 func TestQualityBeatsRandomHash(t *testing.T) {
 	g := testGraph(t)
-	res, err := Partition(g, 8, DefaultConfig())
+	res, err := partitionWith(g, 8, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

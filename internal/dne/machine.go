@@ -70,31 +70,14 @@ func (s *vpSet) memoryFootprint() int64 {
 	return s.set.MemoryFootprint() + int64(len(s.mask))*8
 }
 
-// machineResult is what one machine reports back to the driver.
-type machineResult struct {
-	iterations int
-	swept      int64
-	memBytes   int64
-	partEdges  int64 // |Ep| held by this machine's expansion process at the end
-	commBytes  int64
-	commMsgs   int64
-	conflicts  int64 // lost CAS claims (ParallelAllocation only)
-	wasted     int64 // selection deliveries that allocated nothing here
-	selections int64 // all selection deliveries processed here
-}
-
 // machineInput bundles what one machine's expansion + allocation process
-// needs. The subgraph is built by the caller (from a distributed shuffle,
-// from precomputed buckets, or by scanning a whole graph), so the superstep
-// loop itself never touches global edge arrays.
+// needs. The subgraph is built by the caller (from the distributed shuffle
+// or a checkpoint base), so the superstep loop itself never touches global
+// edge arrays.
 type machineInput struct {
 	sg          *subGraph
 	numVertices uint32 // global |V| (vertex ids are global everywhere)
 	totalEdges  int64  // global deduplicated |E|
-	// residentBytes is input memory held for the entire run (the whole-graph
-	// path charges the full graph here; the shard path charges nothing — its
-	// shard is released after the shuffle).
-	residentBytes int64
 	// inputPeakBytes is the transient peak of the input phase (shard +
 	// shuffle buffers); the reported peak is the max of the two phases.
 	inputPeakBytes int64
@@ -118,9 +101,9 @@ type machineInput struct {
 // seen. Deciding on received flags (identical on every machine) rather than
 // on the racy local ctx keeps the lock-step protocol deadlock-free.
 //
-// Result collection is the caller's job (collectOwnersByIndex or
-// collectOwnersByKey), after this returns.
-func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineInput, res *machineResult) error {
+// Result collection is the caller's job (collectOwnersByKey), after this
+// returns.
+func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineInput, res *MachineStats) error {
 	p := comm.Size()
 	rank := comm.Rank()
 	gd := newGrid(p)
@@ -224,8 +207,8 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 		done = st.done
 		iter = int(st.iter)
 		lastCkpt = st.iter
-		res.wasted = st.wasted
-		res.selections = st.selections
+		res.WastedSelections = st.wasted
+		res.TotalSelections = st.selections
 	}
 
 	for {
@@ -320,9 +303,9 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 				}
 			}
 		}
-		res.selections += int64(len(pairs))
+		res.TotalSelections += int64(len(pairs))
 		if cfg.ParallelAllocation && len(pairs) > 1 {
-			bp := allocOneHopParallel(sg, pairs, int32(iter), sizesView, capEdges, &allocLocal, &res.wasted)
+			bp := allocOneHopParallel(sg, pairs, int32(iter), sizesView, capEdges, &allocLocal, &res.WastedSelections)
 			for _, b := range bp {
 				if seenBP.add(b) {
 					orderBP = append(orderBP, b)
@@ -340,7 +323,7 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 					}
 				}
 				if len(allocLocal) == before {
-					res.wasted++
+					res.WastedSelections++
 				}
 				sizesView[pair.P] += int64(len(allocLocal) - before)
 			}
@@ -464,39 +447,21 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 	// Snapshot communication stats before result collection: the gather the
 	// caller performs next is measurement plumbing, not part of the
 	// algorithm's traffic.
-	res.commBytes = comm.Stats().BytesSent.Load()
-	res.commMsgs = comm.Stats().MessagesSent.Load()
-	res.conflicts = atomic.LoadInt64(&sg.conflicts)
-	res.iterations = iter
-	res.swept = swept
-	res.partEdges = int64(len(epEdges))
+	res.CommBytes = comm.Stats().BytesSent.Load()
+	res.CommMsgs = comm.Stats().MessagesSent.Load()
+	res.CASConflicts = atomic.LoadInt64(&sg.conflicts)
+	res.Iterations = iter
+	res.SweptEdges = swept
+	res.PartEdges = int64(len(epEdges))
 	// Peak memory is the max over the run's two phases: the input phase
 	// (shard + shuffle buffers, transient) and the expansion phase (subgraph
-	// + boundary + scratch slabs + the partition's own edges, plus whatever
-	// input stays resident — the whole graph on the legacy path, nothing on
-	// the shard path).
-	expansion := in.residentBytes + sg.memoryFootprint() + int64(len(epEdges))*8 +
+	// + boundary + scratch slabs + the partition's own edges; the shard is
+	// gone by then).
+	expansion := sg.memoryFootprint() + int64(len(epEdges))*8 +
 		bnd.MemoryFootprint() + seenBP.memoryFootprint() + seenV.MemoryFootprint() +
 		mergedSet.MemoryFootprint() + int64(len(mergedVal))*4
-	res.memBytes = max(expansion, in.inputPeakBytes)
+	res.MemBytes = max(expansion, in.inputPeakBytes)
 	return nil
-}
-
-// collectOwnersByIndex ships every machine's (global edge index, owner)
-// pairs to rank 0, which writes them into ownerOut (ignored elsewhere).
-// Usable only for subgraphs built with global indices (the whole-graph
-// path).
-func collectOwnersByIndex(comm cluster.Comm, sg *subGraph, ownerOut []int32) {
-	comm.Send(0, tagResult, resultBody{Idx: sg.globalIdx, Owner: sg.owner})
-	if comm.Rank() != 0 {
-		return
-	}
-	for _, m := range comm.RecvN(tagResult, comm.Size()) {
-		body := m.Body.(resultBody)
-		for i, gi := range body.Idx {
-			ownerOut[gi] = body.Owner[i]
-		}
-	}
 }
 
 // collectOwnersByKey ships every machine's (packed edge, owner) pairs to

@@ -72,16 +72,6 @@ type edgesBody struct {
 // WireSize implements cluster.Body.
 func (b edgesBody) WireSize() int { return 8 * len(b.Edges) }
 
-// resultBody reports (global edge index, owner) pairs to the master for
-// assembling the final Partitioning (whole-graph path).
-type resultBody struct {
-	Idx   []int64
-	Owner []int32
-}
-
-// WireSize implements cluster.Body.
-func (b resultBody) WireSize() int { return 8*len(b.Idx) + 4*len(b.Owner) }
-
 // shardResultBody reports (packed canonical edge, owner) pairs to the
 // master — the shard path's result currency: no rank knows global edge
 // indices because no rank ever saw the global edge list.

@@ -53,12 +53,12 @@ func (s *countingSource) skip(n63, n64 uint64) {
 // fields alias the live slabs — WriteState streams them out synchronously
 // before the loop mutates anything, so no copies are taken.
 func captureCkpt(iter int, done bool, sg *subGraph, bnd *dsa.Boundary, src *countingSource,
-	partSizes, freeVec, localPerPart []int64, epCount int64, res *machineResult) *machineCkpt {
+	partSizes, freeVec, localPerPart []int64, epCount int64, res *MachineStats) *machineCkpt {
 	live, doneSet := bnd.Snapshot()
 	return &machineCkpt{
 		iter: int64(iter), done: done, epCount: epCount,
 		seedCur: int64(sg.seedCur), conflicts: atomic.LoadInt64(&sg.conflicts),
-		wasted: res.wasted, selections: res.selections,
+		wasted: res.WastedSelections, selections: res.TotalSelections,
 		rng63: src.n63, rng64: src.n64, bndPeak: int64(bnd.Peak()),
 		partSizes: partSizes, freeVec: freeVec, localPerPart: localPerPart,
 		owner: sg.owner, eIdx: sg.eIdx, aliveLen: sg.aliveLen, partWords: sg.partWords,

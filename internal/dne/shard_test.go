@@ -62,17 +62,16 @@ func runShardCluster(t *testing.T, shards []*graph.Shard, cfg Config) (*ShardRes
 }
 
 func TestPartitionShardsMatchesWholeGraphRun(t *testing.T) {
-	// Shard-based DNE over hash-routed, duplicated shards must reproduce
-	// the in-process whole-graph partitioning bit for bit: same edges in
-	// canonical order, same owners, for square and non-square grids.
+	// The partitioning is a function of the graph's edge set, not of how it
+	// is sharded: DNE over hash-routed, duplicated shards must reproduce the
+	// run over the canonical stripes of graph.ShardsOf (the in-process
+	// driver's input) bit for bit — same edges in canonical order, same
+	// owners — for square and non-square grids.
 	g := gen.RMAT(10, 8, 7)
 	for _, p := range []int{2, 5, 9} {
 		cfg := DefaultConfig()
 		cfg.Seed = 11
-		want, err := Partition(g, p, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want, _ := runShardCluster(t, graph.ShardsOf(g, p), cfg)
 		res, _ := runShardCluster(t, hashShards(g, p), cfg)
 		if res.NumEdges() != g.NumEdges() {
 			t.Fatalf("p=%d: %d edges collected, graph has %d", p, res.NumEdges(), g.NumEdges())
@@ -82,12 +81,20 @@ func TestPartitionShardsMatchesWholeGraphRun(t *testing.T) {
 				t.Fatalf("p=%d: edge %d key mismatch", p, i)
 			}
 		}
-		if !slices.Equal(res.Owner, want.Partitioning.Owner) {
-			t.Fatalf("p=%d: shard-based owners differ from whole-graph owners", p)
+		if res.NumVertices != g.NumVertices() {
+			t.Fatalf("p=%d: |V| %d, graph has %d", p, res.NumVertices, g.NumVertices())
 		}
-		if res.Checksum() != partition.Checksum(want.Partitioning.Owner) {
-			t.Fatalf("p=%d: checksum mismatch", p)
+		if !slices.Equal(res.Owner, want.Owner) {
+			t.Fatalf("p=%d: hash-sharded owners differ from striped owners", p)
 		}
+	}
+	// The golden DNE checksum of the repository's determinism suite
+	// (RMAT(12,8,7), P=8, seed 7), reached from hash-routed shards.
+	cfg := DefaultConfig()
+	cfg.Seed = 7
+	res, _ := runShardCluster(t, hashShards(gen.RMAT(12, 8, 7), 8), cfg)
+	if got := res.Checksum(); got != 0x4b30ae3631512257 {
+		t.Fatalf("hash-sharded checksum %#x, golden %#x", got, uint64(0x4b30ae3631512257))
 	}
 }
 
@@ -98,7 +105,7 @@ func TestPartitionShardsUnevenAndEmptyShards(t *testing.T) {
 	const p = 4
 	cfg := DefaultConfig()
 	cfg.Seed = 2
-	want, err := Partition(g, p, cfg)
+	want, err := partitionWith(g, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +135,7 @@ func TestPartitionShardsOverTCPMatchesInProcess(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 17
 
-	inproc, err := Partition(g, parts, cfg)
+	inproc, err := partitionWith(g, parts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,12 +217,11 @@ func TestPartitionShardsRejectsBadConfig(t *testing.T) {
 
 // TestShardDataPlaneMemoryScaling is the headline memory claim of the
 // sharded data plane: on the seeded 1M-edge RMAT at P=16, the per-rank peak
-// allocation of shard-based DNE must be at most 1/4 of the whole-graph
-// path's, while the partitioning stays bit-identical. The accounting is the
-// same analytic model on both sides (subgraph + boundary + scratch slabs +
-// input), with the input term the only difference: the whole-graph path
-// keeps g resident on every rank; the shard path peaks at the shuffle and
-// then runs on the received subgraph alone.
+// of shard-based DNE must be at most 1/4 of g.MemoryFootprint(), the graph
+// a rank would hold if it were handed all of G. The per-rank peak is the
+// analytic model of MachineStats.MemBytes: the larger of the input phase
+// (shard + shuffle buffers) and the expansion phase (subgraph + boundary +
+// scratch slabs + the partition's own edges).
 func TestShardDataPlaneMemoryScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short: 1M-edge RMAT")
@@ -225,50 +231,23 @@ func TestShardDataPlaneMemoryScaling(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 42
 
-	res, shardStats := runShardCluster(t, graph.ShardsOf(g, p), cfg)
-
-	c := cluster.New(p)
-	var mu sync.Mutex
-	fullStats := make([]*MachineStats, p)
-	var fullOwner []int32
-	err := c.Run(func(comm cluster.Comm) error {
-		owner, st, err := PartitionOver(context.Background(), comm, g, cfg)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		fullStats[comm.Rank()] = st
-		if owner != nil {
-			fullOwner = owner
-		}
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	res, stats := runShardCluster(t, graph.ShardsOf(g, p), cfg)
+	if res.NumEdges() != g.NumEdges() {
+		t.Fatalf("%d edges collected, graph has %d", res.NumEdges(), g.NumEdges())
 	}
-
-	if !slices.Equal(res.Owner, fullOwner) {
-		t.Fatal("shard-based and whole-graph partitionings differ")
+	var shardPeak int64
+	for _, st := range stats {
+		shardPeak = max(shardPeak, st.MemBytes)
 	}
-	peak := func(stats []*MachineStats) int64 {
-		var m int64
-		for _, st := range stats {
-			if st.MemBytes > m {
-				m = st.MemBytes
-			}
-		}
-		return m
+	graphBytes := g.MemoryFootprint()
+	t.Logf("per-rank peak at P=%d on |E|=%d: shard path %.1f MiB, whole graph %.1f MiB (%.2fx)",
+		p, g.NumEdges(), float64(shardPeak)/(1<<20), float64(graphBytes)/(1<<20),
+		float64(graphBytes)/float64(shardPeak))
+	if shardPeak <= 0 {
+		t.Fatalf("missing accounting: shard peak %d", shardPeak)
 	}
-	shardPeak, fullPeak := peak(shardStats), peak(fullStats)
-	t.Logf("per-rank peak at P=%d on |E|=%d: shard path %.1f MiB, whole-graph path %.1f MiB (%.2fx)",
-		p, g.NumEdges(), float64(shardPeak)/(1<<20), float64(fullPeak)/(1<<20),
-		float64(fullPeak)/float64(shardPeak))
-	if shardPeak <= 0 || fullPeak <= 0 {
-		t.Fatalf("missing accounting: shard %d, full %d", shardPeak, fullPeak)
-	}
-	if 4*shardPeak > fullPeak {
-		t.Errorf("shard-path peak %d B not <= 1/4 of whole-graph peak %d B", shardPeak, fullPeak)
+	if 4*shardPeak > graphBytes {
+		t.Errorf("shard-path peak %d B not <= 1/4 of the whole graph's %d B", shardPeak, graphBytes)
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // received. Duplicate edges land on the same owner (ownership is a pure
 // function of the endpoints), so local deduplication is global
 // deduplication — and ascending packed order is ascending canonical order,
-// which makes the result identical to the share a whole-graph scan would
-// have extracted.
+// so the result is exactly the rank's 2D-grid share of the canonical edge
+// list, whatever the shards looked like.
 //
 // Peak memory per rank is O(|shard| + |received|). The returned peakBytes
 // is the analytic transient peak of the exchange's own buffers (routed

@@ -4,71 +4,114 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/distributedne/dne/internal/cluster"
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
 )
 
-// gridBuckets splits g's canonical edge indices by owning machine with the
-// reference per-rank scan, for the differential tests below.
-func gridBuckets(g *graph.Graph, gd grid, p int) [][]int64 {
-	buckets := make([][]int64, p)
-	for i, e := range g.Edges() {
+// gridShares filters g's canonical edges by owning machine: rank r's share
+// is every edge (u,v) with gd.edgeOwner(u,v) == r, as packed keys in
+// canonical order. It is the reference the shuffle is checked against.
+func gridShares(g *graph.Graph, p int) [][]uint64 {
+	gd := newGrid(p)
+	shares := make([][]uint64, p)
+	for _, e := range g.Edges() {
 		r := gd.edgeOwner(e.U, e.V)
-		buckets[r] = append(buckets[r], int64(i))
+		shares[r] = append(shares[r], graph.PackEdge(e.U, e.V))
 	}
-	return buckets
+	return shares
 }
 
-// TestBuildSubGraphEquivalence checks that the three subgraph builds — the
-// self-extracting scan, the bucket-driven build, and the packed build the
-// shuffle uses — produce identical subgraphs, field for field.
+// shuffleAll runs shuffleShard on every rank of an in-process cluster and
+// returns the edges each rank received.
+func shuffleAll(t *testing.T, shards []*graph.Shard) [][]uint64 {
+	t.Helper()
+	p := len(shards)
+	gd := newGrid(p)
+	received := make([][]uint64, p)
+	err := cluster.New(p).Run(func(comm cluster.Comm) error {
+		received[comm.Rank()], _ = shuffleShard(comm, gd, shards[comm.Rank()].Packed)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return received
+}
+
+// checkSubGraphOver checks that sg is built over exactly the given packed
+// edges: the same local edge list in the same order, the sorted distinct
+// endpoints as local vertices, and a CSR holding each local edge once in
+// each endpoint's adjacency, in ascending local-edge order, with every
+// edge free.
+func checkSubGraphOver(t *testing.T, rank int, sg *subGraph, keys []uint64) {
+	t.Helper()
+	if len(sg.edges) != len(keys) {
+		t.Fatalf("rank %d: subgraph has %d edges, share has %d", rank, len(sg.edges), len(keys))
+	}
+	var verts []graph.Vertex
+	for i, e := range sg.edges {
+		if graph.PackEdge(e.U, e.V) != keys[i] {
+			t.Fatalf("rank %d: local edge %d is %v, want %v", rank, i, e, graph.UnpackEdge(keys[i]))
+		}
+		verts = append(verts, e.U, e.V)
+	}
+	slices.Sort(verts)
+	verts = slices.Compact(verts)
+	if !slices.Equal(sg.verts, verts) {
+		t.Fatalf("rank %d: local vertices differ from the share's endpoints", rank)
+	}
+	if got := sg.off[len(verts)]; got != 2*int64(len(keys)) {
+		t.Fatalf("rank %d: %d adjacency slots, want %d", rank, got, 2*len(keys))
+	}
+	for lv := range verts {
+		lo, hi := sg.off[lv], sg.off[lv+1]
+		if !slices.IsSorted(sg.eIdx[lo:hi]) {
+			t.Fatalf("rank %d: adjacency of local vertex %d not in local-edge order", rank, lv)
+		}
+		if d := int32(hi - lo); sg.drest[lv] != d || sg.aliveLen[lv] != d {
+			t.Fatalf("rank %d: local vertex %d: drest %d, aliveLen %d, degree %d",
+				rank, lv, sg.drest[lv], sg.aliveLen[lv], d)
+		}
+	}
+	inAdj := func(a, b graph.Vertex, le int32) bool {
+		lv := sg.localID(a)
+		for s := sg.off[lv]; s < sg.off[lv+1]; s++ {
+			if sg.eIdx[s] == le && sg.target[s] == b {
+				return true
+			}
+		}
+		return false
+	}
+	for i, e := range sg.edges {
+		if !inAdj(e.U, e.V, int32(i)) || !inAdj(e.V, e.U, int32(i)) {
+			t.Fatalf("rank %d: local edge %d %v missing from an endpoint's adjacency", rank, i, e)
+		}
+		if sg.owner[i] != -1 {
+			t.Fatalf("rank %d: local edge %d born owned by %d", rank, i, sg.owner[i])
+		}
+	}
+	if sg.freeEdges != int64(len(keys)) {
+		t.Fatalf("rank %d: freeEdges %d, want %d", rank, sg.freeEdges, len(keys))
+	}
+}
+
+// TestBuildSubGraphEquivalence checks that the shuffle of duplicated,
+// hash-routed shards delivers every rank exactly the filter of g's
+// canonical edges by gd.edgeOwner, and that buildSubGraphPacked builds the
+// rank's subgraph over exactly those edges.
 func TestBuildSubGraphEquivalence(t *testing.T) {
 	g := gen.RMAT(11, 8, 9)
 	const p = 6
-	gd := newGrid(p)
-	buckets := gridBuckets(g, gd, p)
+	shares := gridShares(g, p)
+	received := shuffleAll(t, hashShards(g, p))
 	for rank := 0; rank < p; rank++ {
-		a := buildSubGraph(g, gd, rank, p)
-		b := buildSubGraphFrom(g, p, buckets[rank])
-		packed := make([]uint64, len(buckets[rank]))
-		for i, gi := range buckets[rank] {
-			e := g.Edge(gi)
-			packed[i] = graph.PackEdge(e.U, e.V)
+		if !slices.Equal(received[rank], shares[rank]) {
+			t.Fatalf("rank %d: shuffle delivered %d edges, not its %d-edge grid share",
+				rank, len(received[rank]), len(shares[rank]))
 		}
-		c := buildSubGraphPacked(g.NumVertices(), p, packed)
-		if !slices.Equal(a.verts, c.verts) || !slices.Equal(a.lid, c.lid) ||
-			!slices.Equal(a.off, c.off) || !slices.Equal(a.target, c.target) ||
-			!slices.Equal(a.eIdx, c.eIdx) || !slices.Equal(a.edges, c.edges) ||
-			!slices.Equal(a.drest, c.drest) || !slices.Equal(a.aliveLen, c.aliveLen) {
-			t.Fatalf("rank %d: packed build differs from scan build", rank)
-		}
-		if c.globalIdx != nil {
-			t.Fatalf("rank %d: packed build must not carry global indices", rank)
-		}
-		if !slices.Equal(a.verts, b.verts) {
-			t.Fatalf("rank %d: verts differ", rank)
-		}
-		if !slices.Equal(a.lid, b.lid) {
-			t.Fatalf("rank %d: lid differs", rank)
-		}
-		if !slices.Equal(a.off, b.off) {
-			t.Fatalf("rank %d: off differs", rank)
-		}
-		if !slices.Equal(a.target, b.target) {
-			t.Fatalf("rank %d: target differs", rank)
-		}
-		if !slices.Equal(a.eIdx, b.eIdx) {
-			t.Fatalf("rank %d: eIdx differs", rank)
-		}
-		if !slices.Equal(a.edges, b.edges) {
-			t.Fatalf("rank %d: edges differ", rank)
-		}
-		if !slices.Equal(a.globalIdx, b.globalIdx) {
-			t.Fatalf("rank %d: globalIdx differs", rank)
-		}
-		if !slices.Equal(a.drest, b.drest) || !slices.Equal(a.aliveLen, b.aliveLen) {
-			t.Fatalf("rank %d: drest/aliveLen differ", rank)
-		}
+		sg := buildSubGraphPacked(g.NumVertices(), p, received[rank])
+		checkSubGraphOver(t, rank, sg, shares[rank])
 	}
 }
 
@@ -76,8 +119,7 @@ func TestBuildSubGraphEquivalence(t *testing.T) {
 // the sorted verts slice it is derived from.
 func TestSubGraphLocalIDDense(t *testing.T) {
 	g := gen.RMAT(10, 6, 3)
-	gd := newGrid(4)
-	sg := buildSubGraph(g, gd, 2, 4)
+	sg := buildSubGraphPacked(g.NumVertices(), 4, gridShares(g, 4)[2])
 	for lv, v := range sg.verts {
 		if got := sg.localID(v); got != lv {
 			t.Fatalf("localID(%d) = %d, want %d", v, got, lv)
@@ -100,39 +142,12 @@ func TestSubGraphLocalIDDense(t *testing.T) {
 func BenchmarkBuildSubGraphPacked(b *testing.B) {
 	g := gen.RMAT(14, 16, 21)
 	const p = 16
-	gd := newGrid(p)
-	buckets := gridBuckets(g, gd, p)
-	packed := make([][]uint64, p)
-	for rank := 0; rank < p; rank++ {
-		packed[rank] = make([]uint64, len(buckets[rank]))
-		for i, gi := range buckets[rank] {
-			e := g.Edge(gi)
-			packed[rank][i] = graph.PackEdge(e.U, e.V)
-		}
-	}
+	shares := gridShares(g, p)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for rank := 0; rank < p; rank++ {
-			sg := buildSubGraphPacked(g.NumVertices(), p, packed[rank])
-			if len(sg.edges) == 0 {
-				b.Fatal("empty subgraph")
-			}
-		}
-	}
-}
-
-// BenchmarkBuildSubGraphScan is the whole-graph path's self-extracting
-// build (every rank scans all of g), for the same total work.
-func BenchmarkBuildSubGraphScan(b *testing.B) {
-	g := gen.RMAT(14, 16, 21)
-	const p = 16
-	gd := newGrid(p)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for rank := 0; rank < p; rank++ {
-			sg := buildSubGraph(g, gd, rank, p)
+			sg := buildSubGraphPacked(g.NumVertices(), p, shares[rank])
 			if len(sg.edges) == 0 {
 				b.Fatal("empty subgraph")
 			}

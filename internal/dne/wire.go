@@ -18,7 +18,6 @@ func init() {
 	cluster.RegisterBody(syncBody{})
 	cluster.RegisterBody(boundaryBody{})
 	cluster.RegisterBody(edgesBody{})
-	cluster.RegisterBody(resultBody{})
 	cluster.RegisterBody(shardResultBody{})
 	cluster.RegisterBody(sweepBody{})
 	cluster.RegisterBody(cluster.Int64Body(0))
@@ -40,49 +39,14 @@ func recoverConnLost(err *error) {
 	}
 }
 
-// PartitionOver runs this machine's share of Distributed NE over an
-// arbitrary communicator (in-process or TCP) with every rank holding the
-// complete graph. Every rank must call it with the same graph,
-// configuration and partition count (= comm.Size()). The returned slice is
-// non-nil only at rank 0 and holds the owner of every canonical edge of g.
-// Cancelling ctx aborts the run at the next superstep boundary,
-// collectively across all ranks.
-//
-// This is the legacy whole-graph path: per-rank peak memory is O(|E|)
-// because each rank stores g. PartitionShards is the scalable entry point —
-// each rank feeds in only its own edge shard.
-func PartitionOver(ctx context.Context, comm cluster.Comm, g *graph.Graph, cfg Config) (_ []int32, _ *MachineStats, err error) {
-	defer recoverConnLost(&err)
-	var res machineResult
-	var owner []int32
-	if comm.Rank() == 0 {
-		owner = make([]int32, g.NumEdges())
-		for i := range owner {
-			owner[i] = -1
-		}
-	}
-	sg := buildSubGraph(g, newGrid(comm.Size()), comm.Rank(), comm.Size())
-	in := machineInput{
-		sg:          sg,
-		numVertices: g.NumVertices(),
-		totalEdges:  g.NumEdges(),
-		// The whole graph stays resident for the entire run on this path.
-		residentBytes: g.MemoryFootprint(),
-	}
-	if err := runMachine(ctx, comm, cfg, in, &res); err != nil {
-		return nil, nil, err
-	}
-	collectOwnersByIndex(comm, sg, owner)
-	return owner, res.stats(), nil
-}
-
 // ShardResult is the assembled outcome of a shard-based run, available at
 // rank 0 only: the complete deduplicated edge set in ascending canonical
 // order (packed keys) and each edge's owning partition.
 type ShardResult struct {
-	NumParts int
-	Keys     []uint64 // packed canonical edges, ascending
-	Owner    []int32  // owner[i] is the partition of Keys[i]
+	NumParts    int
+	NumVertices uint32   // global |V| of the partitioned graph
+	Keys        []uint64 // packed canonical edges, ascending
+	Owner       []int32  // owner[i] is the partition of Keys[i]
 }
 
 // NumEdges returns the global deduplicated edge count.
@@ -128,9 +92,9 @@ func (r *ShardResult) Checksum() uint64 { return partition.Checksum(r.Owner) }
 // the graph+CSR it never builds — after the algorithm (and its reported
 // peak-memory stat) has finished.
 //
-// The result is non-nil at rank 0 only. The seeded partitioning is
-// bit-identical to the in-process whole-graph run with the same seed,
-// graph and partition count.
+// The result is non-nil at rank 0 only. The seeded partitioning is a pure
+// function of the graph's edge set, seed and partition count: how the
+// edges are split into shards does not matter.
 func PartitionShards(ctx context.Context, comm cluster.Comm, shard *graph.Shard, cfg Config) (_ *ShardResult, _ *MachineStats, err error) {
 	defer recoverConnLost(&err)
 	if err := ctx.Err(); err != nil {
@@ -139,44 +103,54 @@ func PartitionShards(ctx context.Context, comm cluster.Comm, shard *graph.Shard,
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}
-	var res machineResult
-	keys, owners, err := runShardMachine(ctx, comm, shard, cfg, &res)
+	in, err := startShard(comm, shard, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	if comm.Rank() != 0 {
-		return nil, res.stats(), nil
-	}
-	return &ShardResult{NumParts: comm.Size(), Keys: keys, Owner: owners}, res.stats(), nil
+	return runAndCollect(ctx, comm, cfg, in)
 }
 
-// runShardMachine is the per-rank body of the shard data plane: shuffle the
-// local shard to grid owners, build the subgraph from received edges only,
-// run the superstep loop, and collect (key, owner) runs at rank 0.
-func runShardMachine(ctx context.Context, comm cluster.Comm, shard *graph.Shard, cfg Config, res *machineResult) ([]uint64, []int32, error) {
-	p := comm.Size()
-	gd := newGrid(p)
+// startShard is the start-up of a fresh run: shuffle the local shard to its
+// grid owners, agree on the global edge count, and build the subgraph from
+// the received edges only. When ckpt is non-nil the received edges are
+// persisted as the checkpoint base first, so a later attempt can rebuild
+// the subgraph without the shard.
+func startShard(comm cluster.Comm, shard *graph.Shard, ckpt *Checkpointer) (machineInput, error) {
 	shardBytes := shard.Bytes()
-	local, shuffleBytes := shuffleShard(comm, gd, shard.Packed)
+	local, shuffleBytes := shuffleShard(comm, newGrid(comm.Size()), shard.Packed)
 	// The shard has served its purpose; release it so the expansion phase
 	// runs on the subgraph alone.
 	shard.Packed = nil
 	totalE := cluster.AllGatherSum(comm, int64(len(local)))
 	if totalE == 0 {
-		return nil, nil, errors.New("dne: shards hold no edges")
+		return machineInput{}, errors.New("dne: shards hold no edges")
 	}
-	sg := buildSubGraphPacked(shard.NumVertices, p, local)
-	in := machineInput{
-		sg:             sg,
+	if ckpt != nil {
+		if err := ckpt.WriteBase(shard.NumVertices, totalE, local); err != nil {
+			return machineInput{}, err
+		}
+	}
+	return machineInput{
+		sg:             buildSubGraphPacked(shard.NumVertices, comm.Size(), local),
 		numVertices:    shard.NumVertices,
 		totalEdges:     totalE,
 		inputPeakBytes: shardBytes + shuffleBytes,
-	}
-	if err := runMachine(ctx, comm, cfg, in, res); err != nil {
+		ckpt:           ckpt,
+	}, nil
+}
+
+// runAndCollect runs the superstep loop over in and collects the (key,
+// owner) runs at rank 0, the only rank that returns a ShardResult.
+func runAndCollect(ctx context.Context, comm cluster.Comm, cfg Config, in machineInput) (*ShardResult, *MachineStats, error) {
+	var st MachineStats
+	if err := runMachine(ctx, comm, cfg, in, &st); err != nil {
 		return nil, nil, err
 	}
-	keys, owners := collectOwnersByKey(comm, sg)
-	return keys, owners, nil
+	keys, owners := collectOwnersByKey(comm, in.sg)
+	if comm.Rank() != 0 {
+		return nil, &st, nil
+	}
+	return &ShardResult{NumParts: comm.Size(), NumVertices: in.numVertices, Keys: keys, Owner: owners}, &st, nil
 }
 
 // FTOptions configures PartitionShardsFT, the fault-tolerant shard driver.
@@ -274,77 +248,62 @@ func PartitionShardsFT(ctx context.Context, cfg Config, opt FTOptions) (*ShardRe
 func runShardAttempt(ctx context.Context, comm cluster.Comm, cfg Config, opt FTOptions, logf func(string, ...any)) (_ *ShardResult, _ *MachineStats, err error) {
 	defer recoverConnLost(&err)
 	c := opt.Checkpoint
-	p := comm.Size()
-	var res machineResult
-	in := machineInput{ckpt: c}
 
 	// Negotiate the newest superstep every rank can restore. The collective
 	// doubles as the rejoin barrier: survivors block here until the restarted
 	// rank's hello completes the mesh.
 	newest := c.Newest()
 	resume := cluster.AllGatherMin(comm, newest)
-	if resume >= 0 {
-		numVertices, totalE, packed, err := c.LoadBase()
-		if err != nil {
-			return nil, nil, err
-		}
-		st, err := c.LoadState(resume)
-		if err != nil {
-			return nil, nil, err
-		}
-		logf("dne: rank %d restoring checkpoint at superstep %d (%d local edges)", c.rank, resume, len(packed))
-		in.sg = buildSubGraphPacked(numVertices, p, packed)
-		in.numVertices = numVertices
-		in.totalEdges = totalE
-		in.resume = st
-	} else {
+	if resume < 0 {
 		shard, err := opt.LoadShard()
 		if err != nil {
 			return nil, nil, fmt.Errorf("dne: loading shard: %w", err)
 		}
-		gd := newGrid(p)
-		shardBytes := shard.Bytes()
-		local, shuffleBytes := shuffleShard(comm, gd, shard.Packed)
-		shard.Packed = nil
-		totalE := cluster.AllGatherSum(comm, int64(len(local)))
-		if totalE == 0 {
-			return nil, nil, errors.New("dne: shards hold no edges")
-		}
-		if err := c.WriteBase(shard.NumVertices, totalE, local); err != nil {
+		in, err := startShard(comm, shard, c)
+		if err != nil {
 			return nil, nil, err
 		}
-		in.sg = buildSubGraphPacked(shard.NumVertices, p, local)
-		in.numVertices = shard.NumVertices
-		in.totalEdges = totalE
-		in.inputPeakBytes = shardBytes + shuffleBytes
+		return runAndCollect(ctx, comm, cfg, in)
 	}
-	if err := runMachine(ctx, comm, cfg, in, &res); err != nil {
+	numVertices, totalE, packed, err := c.LoadBase()
+	if err != nil {
 		return nil, nil, err
 	}
-	keys, owners := collectOwnersByKey(comm, in.sg)
-	if comm.Rank() != 0 {
-		return nil, res.stats(), nil
+	st, err := c.LoadState(resume)
+	if err != nil {
+		return nil, nil, err
 	}
-	return &ShardResult{NumParts: p, Keys: keys, Owner: owners}, res.stats(), nil
+	logf("dne: rank %d restoring checkpoint at superstep %d (%d local edges)", c.rank, resume, len(packed))
+	return runAndCollect(ctx, comm, cfg, machineInput{
+		sg:          buildSubGraphPacked(numVertices, comm.Size(), packed),
+		numVertices: numVertices,
+		totalEdges:  totalE,
+		ckpt:        c,
+		resume:      st,
+	})
 }
 
-// MachineStats is the public view of one machine's execution metrics.
+// MachineStats is one machine's execution metrics.
 type MachineStats struct {
 	Iterations int
 	SweptEdges int64
-	MemBytes   int64
-	PartEdges  int64
-	CommBytes  int64
-	CommMsgs   int64
-}
-
-func (r *machineResult) stats() *MachineStats {
-	return &MachineStats{
-		Iterations: r.iterations,
-		SweptEdges: r.swept,
-		MemBytes:   r.memBytes,
-		PartEdges:  r.partEdges,
-		CommBytes:  r.commBytes,
-		CommMsgs:   r.commMsgs,
-	}
+	// MemBytes is the machine's analytic peak memory: the larger of the
+	// input phase (shard + shuffle buffers) and the expansion phase
+	// (subgraph + boundary + scratch slabs + the partition's own edges).
+	MemBytes  int64
+	PartEdges int64 // |Ep| held by this machine's expansion process at the end
+	// CommBytes / CommMsgs are this machine's traffic of the partitioning
+	// itself (result collection excluded).
+	CommBytes int64
+	CommMsgs  int64
+	// CASConflicts counts contended edge claims lost to a concurrent
+	// partition (non-zero only with Config.ParallelAllocation).
+	CASConflicts int64
+	// WastedSelections counts selection deliveries ⟨v,p⟩ that allocated no
+	// one-hop edge here — the cost of stale boundary Drest scores
+	// (DESIGN.md §4.4).
+	WastedSelections int64
+	// TotalSelections counts all selection deliveries processed here, the
+	// denominator for the staleness rate.
+	TotalSelections int64
 }

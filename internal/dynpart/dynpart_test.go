@@ -1,6 +1,7 @@
 package dynpart
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,7 @@ import (
 	"github.com/distributedne/dne/internal/dne"
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
+	"github.com/distributedne/dne/internal/partition"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -101,7 +103,7 @@ func TestBalanceRespectsAlpha(t *testing.T) {
 
 func TestSeedFromDNEAndUpdate(t *testing.T) {
 	g := gen.RMAT(10, 8, 7)
-	res, err := dne.Partition(g, 8, dne.DefaultConfig())
+	res, err := dne.Partitioner{}.Partition(context.Background(), g, partition.NewSpec(8, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +111,7 @@ func TestSeedFromDNEAndUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	staticQ := res.Partitioning.Measure(g)
+	staticQ := res.Quality
 	// Same replica total; the RF denominators differ (Measure counts
 	// isolated vertex ids, dynpart counts live vertices only).
 	if got := d.Replicas(); got != staticQ.Replicas {

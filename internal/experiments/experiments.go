@@ -111,15 +111,12 @@ func Fig6(o Options) error {
 	for _, spec := range specs {
 		g := spec.Build(o.Shift)
 		for _, lam := range lambdas {
-			cfg := dne.DefaultConfig()
-			cfg.Lambda = lam
-			cfg.Seed = o.Seed
-			res, err := dne.PartitionCtx(o.ctx(), g, parts, cfg)
+			ps := partition.NewSpec(parts, o.Seed).WithParam("lambda", lam)
+			res, err := dne.Partitioner{}.Partition(o.ctx(), g, ps)
 			if err != nil {
 				return fmt.Errorf("fig6 %s λ=%g: %w", spec.Name, lam, err)
 			}
-			q := res.Partitioning.Measure(g)
-			t.Add(spec.Name, fmt.Sprintf("%.0e", lam), res.Iterations, q.ReplicationFactor)
+			t.Add(spec.Name, fmt.Sprintf("%.0e", lam), res.Stats.Iterations, res.Quality.ReplicationFactor)
 		}
 	}
 	t.Print(o.out())
@@ -407,15 +404,11 @@ func Fig10J(o Options) error {
 				scale += 2 // ×4 machines → ×4 vertices
 			}
 			g := gen.RMAT(scale, ef, o.Seed+int64(ef*m))
-			cfg := dne.DefaultConfig()
-			cfg.Seed = o.Seed
-			start := time.Now()
-			res, err := dne.PartitionCtx(o.ctx(), g, m, cfg)
+			res, err := dne.Partitioner{}.Partition(o.ctx(), g, partition.NewSpec(m, o.Seed))
 			if err != nil {
 				return fmt.Errorf("fig10j m=%d ef=%d: %w", m, ef, err)
 			}
-			_ = res
-			cells = append(cells, time.Since(start))
+			cells = append(cells, res.Stats.PartitionTime())
 		}
 		t.Add(cells...)
 	}

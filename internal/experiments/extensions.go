@@ -9,6 +9,7 @@ import (
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
 	"github.com/distributedne/dne/internal/hyperpart"
+	"github.com/distributedne/dne/internal/partition"
 	"github.com/distributedne/dne/internal/powerlaw"
 )
 
@@ -25,7 +26,7 @@ func ExtDynamic(o Options) error {
 		scale = 8
 	}
 	snapshot := gen.RMAT(scale, 16, o.Seed)
-	res, err := dne.PartitionCtx(o.ctx(), snapshot, 16, dneCfg(o.Seed))
+	res, err := dne.Partitioner{}.Partition(o.ctx(), snapshot, partition.NewSpec(16, o.Seed))
 	if err != nil {
 		return err
 	}
@@ -56,12 +57,11 @@ func ExtDynamic(o Options) error {
 		applied = hi
 		// Full re-partition of the current edge set for comparison.
 		cur := graph.FromEdges(0, d.Edges())
-		fres, err := dne.PartitionCtx(o.ctx(), cur, 16, dneCfg(o.Seed))
+		fres, err := dne.Partitioner{}.Partition(o.ctx(), cur, partition.NewSpec(16, o.Seed))
 		if err != nil {
 			return err
 		}
-		fq := fres.Partitioning.Measure(cur)
-		fullRF := float64(fq.Replicas) / float64(coveredOf(cur))
+		fullRF := float64(fres.Quality.Replicas) / float64(coveredOf(cur))
 		t.Add(applied, d.NumEdges(), d.ReplicationFactor(), d.EdgeBalance(), fullRF, moved)
 	}
 	t.Print(o.out())
@@ -159,10 +159,4 @@ func ExtPowerLaw(o Options) error {
 	t.Print(o.out())
 	fmt.Fprintln(o.out(), "\nshape: skewed families fit heavy tails (high gini); road does not")
 	return nil
-}
-
-func dneCfg(seed int64) dne.Config {
-	cfg := dne.DefaultConfig()
-	cfg.Seed = seed
-	return cfg
 }
